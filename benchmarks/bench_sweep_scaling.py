@@ -32,8 +32,7 @@ import time
 from pathlib import Path
 from typing import Dict
 
-from repro.experiments import Experiment, ProcessBackend, ResultSet, SweepSpec
-from repro.io import resultset_to_dict
+from repro.experiments import Experiment, ProcessBackend, SweepSpec
 
 SEED = 20080301
 N_RECEIVERS = int(os.environ.get("BENCH_SWEEP_N", "40000"))
@@ -90,7 +89,8 @@ def measure_sweep() -> Dict[str, object]:
     parallel = experiment.run(backend=ProcessBackend(max_workers=workers))
     parallel_seconds = time.perf_counter() - start
 
-    deterministic = resultset_to_dict(serial) == resultset_to_dict(parallel)
+    # Bit-identity modulo wall-clock telemetry: the contract's own filter.
+    deterministic = serial.canonical_dict() == parallel.canonical_dict()
     total_receivers = len(experiment.variants) * N_RECEIVERS
     return {
         "benchmark": "sweep_scaling",

@@ -66,7 +66,6 @@ from .results import ExperimentError, ResultRow, ResultSet, reproduce_row
 from .runner import (
     WALL_CLOCK_METRICS,
     VariantRun,
-    execute,
     plan_runs,
     run_variant,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "VariantRun",
     "plan_runs",
     "run_variant",
-    "execute",
     "WALL_CLOCK_METRICS",
     "ExecutionBackend",
     "SerialBackend",

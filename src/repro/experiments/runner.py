@@ -8,29 +8,24 @@ scenarios) and returns the result rows.  Every unit carries its own
 derived seed and its variant's declaration index, so any execution
 strategy — inline, a process pool, or one shard per host (see
 :mod:`repro.experiments.backends`) — produces identical rows in a
-reconstructible order.  :func:`execute` remains as the legacy entry
-point, now a thin wrapper over the backend layer.
+reconstructible order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.analysis import analyze_system
 from ..simulation.metrics import SimulationResult
 from ..systems.scenario import get_scenario
 from .design import Experiment
-from .results import WALL_CLOCK_METRICS, ResultRow, ResultSet
-
-if TYPE_CHECKING:  # deferred: backends imports this module
-    from .backends import ExecutionBackend
+from .results import WALL_CLOCK_METRICS, ResultRow
 
 __all__ = [
     "VariantRun",
     "plan_runs",
     "run_variant",
-    "execute",
     "WALL_CLOCK_METRICS",  # canonical home: repro.experiments.results
 ]
 
@@ -179,19 +174,3 @@ def run_variant(run: VariantRun) -> List[ResultRow]:
         )
     return rows
 
-
-def execute(
-    experiment: Experiment,
-    max_workers: Optional[int] = None,
-    backend: Optional["ExecutionBackend"] = None,
-) -> ResultSet:
-    """Run an experiment's variants through an execution backend.
-
-    Legacy entry point kept for callers of the pre-backend API:
-    ``max_workers`` maps onto
-    :class:`~repro.experiments.backends.ProcessBackend` (with a
-    deprecation warning); prefer :meth:`Experiment.run(backend=...)`.
-    """
-    from .backends import resolve_backend  # deferred: backends imports this module
-
-    return resolve_backend(backend=backend, max_workers=max_workers).execute(experiment)

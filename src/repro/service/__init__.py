@@ -11,9 +11,10 @@ with two load-bearing pieces underneath every router:
   alone and a repeated query returns the exact bytes of the first
   computation, and
 * an **append-only job ledger** (:mod:`repro.service.jobs`): async sweep
-  jobs record every state transition as one JSONL event, execute through
-  the ordinary checkpointing backend, and survive server crashes with
-  the interruption visible in the stream rather than papered over.
+  jobs record every state transition as one JSONL event, serve or run
+  each work unit through the same cache step as inline requests while
+  appending its rows to the job's checkpoint, and survive server crashes
+  with the interruption visible in the stream rather than papered over.
 
 Start a server with ``python -m repro.service serve --port N``; build an
 in-process app for tests with :func:`create_app`.  See this package's

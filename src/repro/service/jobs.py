@@ -3,17 +3,21 @@
 Every job the service accepts gets its own directory holding two kinds of
 append-only streams: a ``service-events.jsonl`` state ledger (one
 :class:`~repro.io.eventlog.EventLogWriter` line per transition —
-``submitted`` / ``running`` / ``progress`` / ``done`` / ``failed``) and,
-for sweep jobs, the ordinary shard checkpoint files the execution backend
-writes as variants complete.  Nothing is ever rewritten: a server killed
-mid-job leaves a recoverable prefix, and on restart :class:`JobStore`
-replays every ledger, appends an explicit ``interrupted`` event to any
-job the crash caught mid-flight, and surfaces the restart in the job's
-event stream instead of hiding it — the same discipline as the shard
-checkpoints themselves.  The ``service-`` file-name prefix is registered
-in :data:`repro.io.shards.TELEMETRY_PREFIXES`, so checkpoint loaders
-never mistake a ledger for a row checkpoint (and the wall-clock stamps
-these telemetry streams carry stay out of result identity).
+``submitted`` / ``running`` / ``progress`` / ``done`` / ``failed``) and
+the job's single-shard checkpoint file, in the ordinary shard-log format,
+which the service appends each work unit's rows to as the unit is served
+from the result cache or run (see :mod:`repro.service.state`).  Nothing
+is ever rewritten: a server killed mid-job leaves a recoverable prefix.
+Every appended event is folded into the job's in-memory record by the
+same step that replays a ledger on restart, so a live job and its
+replay read identically; on restart :class:`JobStore` also appends an
+explicit ``interrupted`` event to any job the crash caught mid-flight,
+surfacing the restart in the job's event stream instead of hiding it —
+the same discipline as the shard checkpoints themselves.  The
+``service-`` file-name prefix is registered in
+:data:`repro.io.shards.TELEMETRY_PREFIXES`, so checkpoint loaders never
+mistake a ledger for a row checkpoint (and the wall-clock stamps these
+telemetry streams carry stay out of result identity).
 
 :class:`JobWorker` drains submitted jobs through an injectable executor
 on one daemon thread (or synchronously via :meth:`JobWorker.run_pending`
@@ -79,36 +83,37 @@ class JobRecord:
         }
 
 
-def _fold_events(
-    job_id: str, events: List[Dict[str, Any]]
+def _apply_event(
+    record: Optional[JobRecord], job_id: str, event: Mapping[str, Any]
 ) -> Optional[JobRecord]:
-    """Replay one ledger into a record; ``None`` when nothing committed."""
-    record: Optional[JobRecord] = None
-    for event in events:
-        kind = event.get("event")
-        stamp = event.get("time")
-        if kind == "submitted":
-            record = JobRecord(
-                job_id=job_id,
-                status="submitted",
-                request=dict(event.get("request", {})),
-                submitted_at=stamp,
-                updated_at=stamp,
-            )
-            continue
-        if record is None:
-            continue  # a ledger must open with its submission
-        record.updated_at = stamp
-        if kind == "running":
-            record.status = "running"
-        elif kind == "progress":
-            record.progress = dict(event.get("progress", {}))
-        elif kind == "done":
-            record.status = "done"
-            record.summary = dict(event.get("summary", {}))
-        elif kind in ("failed", "interrupted"):
-            record.status = "failed"
-            record.error = str(event.get("error", kind))
+    """Fold one ledger event into a job's record (``None`` until submitted).
+
+    The one transition function: live appends and restart replays both
+    go through it, so a job reads the same before and after a restart.
+    """
+    kind = event.get("event")
+    stamp = event.get("time")
+    if kind == "submitted":
+        return JobRecord(
+            job_id=job_id,
+            status="submitted",
+            request=dict(event.get("request", {})),
+            submitted_at=stamp,
+            updated_at=stamp,
+        )
+    if record is None:
+        return None  # a ledger must open with its submission
+    record.updated_at = stamp
+    if kind == "running":
+        record.status = "running"
+    elif kind == "progress":
+        record.progress = dict(event.get("progress", {}))
+    elif kind == "done":
+        record.status = "done"
+        record.summary = dict(event.get("summary", {}))
+    elif kind in ("failed", "interrupted"):
+        record.status = "failed"
+        record.error = str(event.get("error", kind))
     return record
 
 
@@ -131,7 +136,9 @@ class JobStore:
         not something to paper over)."""
         for path in sorted(self._root.glob("*/" + JOB_EVENTS_FILENAME)):
             job_id = path.parent.name
-            record = _fold_events(job_id, read_events(path))
+            record: Optional[JobRecord] = None
+            for event in read_events(path):
+                record = _apply_event(record, job_id, event)
             if record is None:
                 continue
             self._records[job_id] = record
@@ -143,8 +150,6 @@ class JobStore:
                         "error": "server restarted while the job was in flight",
                     },
                 )
-                record.status = "failed"
-                record.error = "server restarted while the job was in flight"
 
     # -- internals ---------------------------------------------------------------
 
@@ -155,9 +160,15 @@ class JobStore:
             )
         return self._writers[job_id]
 
-    def _append(self, job_id: str, event: Mapping[str, Any]) -> None:
-        record = {"job": job_id, "time": time.time(), **dict(event)}
-        self._writer(job_id).append(record)
+    def _append(self, job_id: str, event: Mapping[str, Any]) -> JobRecord:
+        """Commit one event to the job's ledger and fold it into its record."""
+        committed = self._writer(job_id).append(
+            {"job": job_id, "time": time.time(), **dict(event)}
+        )
+        record = _apply_event(self._records.get(job_id), job_id, committed)
+        assert record is not None  # every ledger opens with its submission
+        self._records[job_id] = record
+        return record
 
     def _record(self, job_id: str) -> JobRecord:
         if job_id not in self._records:
@@ -176,36 +187,26 @@ class JobStore:
             ]
             job_id = f"job-{max(indices, default=0) + 1:04d}"
             (self._root / job_id).mkdir(parents=True, exist_ok=True)
-            self._append(job_id, {"event": "submitted", "request": dict(request)})
-            record = JobRecord(
-                job_id=job_id, status="submitted", request=dict(request)
+            return self._append(
+                job_id, {"event": "submitted", "request": dict(request)}
             )
-            self._records[job_id] = record
-            return record
+
+    def _transition(self, job_id: str, event: Mapping[str, Any]) -> None:
+        with self._lock:
+            self._record(job_id)  # 404 before touching the filesystem
+            self._append(job_id, event)
 
     def mark_running(self, job_id: str) -> None:
-        with self._lock:
-            self._record(job_id).status = "running"
-            self._append(job_id, {"event": "running"})
+        self._transition(job_id, {"event": "running"})
 
     def mark_progress(self, job_id: str, progress: Mapping[str, Any]) -> None:
-        with self._lock:
-            self._record(job_id).progress = dict(progress)
-            self._append(job_id, {"event": "progress", "progress": dict(progress)})
+        self._transition(job_id, {"event": "progress", "progress": dict(progress)})
 
     def mark_done(self, job_id: str, summary: Mapping[str, Any]) -> None:
-        with self._lock:
-            record = self._record(job_id)
-            record.status = "done"
-            record.summary = dict(summary)
-            self._append(job_id, {"event": "done", "summary": dict(summary)})
+        self._transition(job_id, {"event": "done", "summary": dict(summary)})
 
     def mark_failed(self, job_id: str, error: str) -> None:
-        with self._lock:
-            record = self._record(job_id)
-            record.status = "failed"
-            record.error = error
-            self._append(job_id, {"event": "failed", "error": error})
+        self._transition(job_id, {"event": "failed", "error": error})
 
     # -- queries -----------------------------------------------------------------
 

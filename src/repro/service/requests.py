@@ -12,17 +12,20 @@ the row's ``variant_hash``, which is what makes the content-keyed cache
 are a pure function of the accepted inputs, so they never need to appear
 in a cache key.
 
-:func:`run_with_cache` is the service's synchronous execution path: it
-plans an experiment into per-variant work units, serves any unit whose
-predicted row identities are all cached (exact first-computation bytes,
-hit-counted), and runs only the rest — so re-submitting a sweep that was
-ever computed does no engine work.
+:func:`serve_or_run` is the service's one decision between the result
+cache and the engine, taken per work unit: a unit whose predicted row
+identities are all cached is served (exact first-computation bytes,
+hit-counted); any other unit runs, counts its misses, and caches its
+rows as soon as it completes.  Inline requests (:func:`run_with_cache`)
+and async jobs (:meth:`repro.service.state.ServiceState._execute_job`)
+are both a loop of this step over the experiment's planned units, so a
+re-submitted sweep does engine work only for the units never computed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.exceptions import ModelError
 from ..experiments.design import (
@@ -32,12 +35,12 @@ from ..experiments.design import (
     SweepSpec,
     VariantSpec,
 )
-from ..experiments.results import ExperimentError, ResultSet
+from ..experiments.results import ExperimentError, ResultRow, ResultSet
 from ..experiments.runner import VariantRun, plan_runs, run_variant
 from ..io.experiments_io import result_row_from_dict, result_row_to_dict
 from ..simulation.engine import SIMULATION_MODES, SimulationConfig
 from ..systems.scenario import get_scenario, variant_hash
-from .cache import CacheKey, ResultCache, row_cache_key
+from .cache import CacheKey, ResultCache
 from .errors import BadRequestError, ValidationFailure
 
 __all__ = [
@@ -45,6 +48,7 @@ __all__ = [
     "build_experiment",
     "run_cost",
     "predicted_run_keys",
+    "serve_or_run",
     "run_with_cache",
 ]
 
@@ -278,6 +282,34 @@ def predicted_run_keys(run: VariantRun) -> List[CacheKey]:
     return keys
 
 
+def serve_or_run(
+    cache: ResultCache, run: VariantRun
+) -> Tuple[List[ResultRow], bool]:
+    """One work unit's rows, and whether the cache served them.
+
+    When every predicted row identity is cached, the rows are served
+    (counting hits) and the variant never binds, simulates, or analyzes;
+    otherwise the unit runs, its misses are counted, and its rows are
+    stored under their recorded identity — first write wins, so a racing
+    duplicate keeps the original bytes.
+    """
+    keys = predicted_run_keys(run)
+    served = bool(keys) and all(cache.peek(key) for key in keys)
+    payloads: Sequence[Optional[Dict[str, Any]]]
+    if served:
+        payloads = [cache.serve(key) for key in keys]
+    else:
+        fresh = [result_row_to_dict(row) for row in run_variant(run)]
+        cache.note_misses(len(fresh))
+        cache.store_rows(fresh)
+        payloads = fresh
+    rows: List[ResultRow] = []
+    for payload in payloads:
+        assert payload is not None  # peeked: entries are never evicted
+        rows.append(result_row_from_dict(payload))
+    return rows, served
+
+
 @dataclasses.dataclass(frozen=True)
 class CachedRunOutcome:
     """What :func:`run_with_cache` produced, and where the rows came from."""
@@ -291,36 +323,16 @@ class CachedRunOutcome:
 
 
 def run_with_cache(cache: ResultCache, experiment: Experiment) -> CachedRunOutcome:
-    """Run an experiment, serving fully-cached variants without engine work.
-
-    Per work unit: when every predicted row identity is cached, the rows
-    are served from the cache (counting hits) and the variant never
-    binds, simulates, or analyzes; otherwise the unit runs, its misses
-    are counted, and its rows are stored under their recorded identity —
-    first write wins, so a racing duplicate keeps the original bytes.
-    """
+    """Run an experiment through :func:`serve_or_run`, one unit at a time."""
     served = 0
     computed = 0
-    payloads: List[Dict[str, Any]] = []
+    rows: List[ResultRow] = []
     for run in plan_runs(experiment):
-        keys = predicted_run_keys(run)
-        if keys and all(cache.peek(key) for key in keys):
-            for key in keys:
-                payload = cache.serve(key)
-                assert payload is not None  # peeked under first-write-wins
-                payloads.append(payload)
-            served += len(keys)
+        unit_rows, from_cache = serve_or_run(cache, run)
+        rows.extend(unit_rows)
+        if from_cache:
+            served += len(unit_rows)
         else:
-            rows = run_variant(run)
-            cache.note_misses(len(rows))
-            computed += len(rows)
-            for row in rows:
-                payload = result_row_to_dict(row)
-                cache.store(row_cache_key(payload), payload)
-                payloads.append(payload)
-    resultset = ResultSet(
-        experiment=experiment.name,
-        rows=[result_row_from_dict(payload) for payload in payloads],
-        seed=experiment.seed,
-    )
+            computed += len(unit_rows)
+    resultset = ResultSet(experiment=experiment.name, rows=rows, seed=experiment.seed)
     return CachedRunOutcome(resultset=resultset, served=served, computed=computed)

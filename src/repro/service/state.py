@@ -5,26 +5,24 @@ One :class:`ServiceState` backs every router: the content-keyed
 ``service-cache.jsonl`` stream inside the data directory), the
 :class:`~repro.service.jobs.JobStore` ledger under ``data_dir/jobs/``,
 and the :class:`~repro.service.jobs.JobWorker` that executes async
-sweeps through the ordinary experiment machinery — a
-:class:`~repro.experiments.backends.ShardBackend` writing append-only
-shard checkpoints into the job's own directory, with every
-:class:`~repro.experiments.backends.ShardProgress` observation forwarded
-into the job's event stream.  A sweep whose rows are all cached is
-assembled from the cache and written straight to the job checkpoint:
-done, observable, and no engine work.
+sweeps.  A job runs the same per-unit step as an inline request
+(:func:`~repro.service.requests.serve_or_run`): each work unit is served
+from the cache or run and cached as soon as it completes, its rows are
+appended to the job's own single-shard checkpoint file (written here,
+in the ordinary shard-log format), and the job's event stream gets a
+:class:`~repro.experiments.backends.ShardProgress` observation before
+the first unit and after each one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict
 
-from ..experiments.backends import ShardBackend, ShardProgress, shard_plans
+from ..experiments.backends import ShardProgress, shard_plans
 from ..experiments.design import Experiment
 from ..experiments.results import ResultSet
-from ..experiments.runner import plan_runs
-from ..io.experiments_io import result_row_from_dict, result_row_to_dict
 from ..io.shards import ShardLogWriter, load_checkpoint, shard_filename
 from .cache import CACHE_FILENAME, ResultCache
 from .errors import BadRequestError
@@ -32,8 +30,8 @@ from .jobs import JobRecord, JobStore, JobWorker
 from .requests import (
     CachedRunOutcome,
     build_experiment,
-    predicted_run_keys,
     run_with_cache,
+    serve_or_run,
 )
 
 __all__ = ["ServiceConfig", "ServiceState"]
@@ -46,14 +44,12 @@ class ServiceConfig:
     ``inline_threshold`` is the receiver-round budget (see
     :func:`repro.service.requests.run_cost`) under which a simulate/sweep
     request runs synchronously in the request; anything costlier becomes
-    an async job.  ``persist_cache=False`` keeps the result cache purely
-    in-memory (tests); ``threaded_worker=False`` queues jobs until
-    :meth:`ServiceState.run_pending_jobs` drains them (tests again).
+    an async job.  ``threaded_worker=False`` queues jobs until
+    :meth:`ServiceState.run_pending_jobs` drains them (tests).
     """
 
     data_dir: str
     inline_threshold: int = 100_000
-    persist_cache: bool = True
     threaded_worker: bool = True
 
 
@@ -64,8 +60,7 @@ class ServiceState:
         self.config = config
         root = Path(config.data_dir)
         root.mkdir(parents=True, exist_ok=True)
-        cache_path = root / CACHE_FILENAME if config.persist_cache else None
-        self.cache = ResultCache(cache_path)
+        self.cache = ResultCache(root / CACHE_FILENAME)
         self.jobs = JobStore(root / "jobs")
         self.worker = JobWorker(
             self.jobs, self._execute_job, threaded=config.threaded_worker
@@ -86,63 +81,40 @@ class ServiceState:
     def _execute_job(self, job_id: str) -> Dict[str, Any]:
         """Run one ledgered sweep; the default :class:`JobWorker` executor.
 
-        Fully-cached sweeps are assembled from the cache and appended to
-        the job's checkpoint file — the job completes with zero engine
-        work but its results stay addressable by job id like any other.
-        Everything else runs through a single-shard checkpointing
-        backend, so a retried or resubmitted job dedups against whatever
-        its directory already committed.
+        Every work unit goes through :func:`serve_or_run` and its rows
+        are appended to the job's checkpoint file as it completes, so
+        the results stay addressable by job id however many of them the
+        cache served.
         """
         record = self.jobs.get(job_id)
         experiment = build_experiment(record.request, default_name=job_id)
-        job_dir = self.jobs.job_dir(job_id)
+        plan = shard_plans(experiment, 1)[0]
+        path = self.jobs.job_dir(job_id) / shard_filename(0, 1)
+        done = rows = 0
+        from_cache = True
 
-        runs = plan_runs(experiment)
-        predicted = [predicted_run_keys(run) for run in runs]
-        if predicted and all(
-            self.cache.peek(key) for keys in predicted for key in keys
-        ):
-            payloads: List[Dict[str, Any]] = []
-            for keys in predicted:
-                for key in keys:
-                    payload = self.cache.serve(key)
-                    assert payload is not None
-                    payloads.append(payload)
-            rows = [result_row_from_dict(payload) for payload in payloads]
-            plan = shard_plans(experiment, 1)[0]
-            with ShardLogWriter(
-                job_dir / shard_filename(0, 1), plan.header()
-            ) as writer:
-                writer.append(rows)
-            self.jobs.mark_progress(
-                job_id,
-                {
-                    "variants_done": len(runs),
-                    "variants_total": len(runs),
-                    "rows_committed": len(rows),
-                    "rows_appended": 0,
-                },
+        def note_progress() -> None:
+            progress = ShardProgress(
+                variants_done=done,
+                variants_total=len(plan.runs),
+                rows_committed=rows,
+                rows_appended=rows,
             )
-            return {
-                "experiment": experiment.name,
-                "rows": len(rows),
-                "from_cache": True,
-            }
-
-        def on_progress(progress: ShardProgress) -> None:
             self.jobs.mark_progress(job_id, dataclasses.asdict(progress))
 
-        backend = ShardBackend(
-            0, 1, checkpoint_dir=str(job_dir), on_progress=on_progress
-        )
-        resultset = backend.execute(experiment)
-        payloads = [result_row_to_dict(row) for row in resultset.rows]
-        self.cache.note_misses(len(payloads))
-        self.cache.store_rows(payloads)
+        with ShardLogWriter(path, plan.header()) as writer:
+            note_progress()
+            for run in plan.runs:
+                unit_rows, served = serve_or_run(self.cache, run)
+                writer.append(unit_rows)
+                done += 1
+                rows += len(unit_rows)
+                from_cache = from_cache and served
+                note_progress()
         return {
             "experiment": experiment.name,
-            "rows": len(payloads),
-            "from_cache": False,
+            "rows": rows,
+            "from_cache": from_cache,
         }
 
     # -- results -----------------------------------------------------------------

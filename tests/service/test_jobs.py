@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.io.shards import load_checkpoint
 from repro.service import ServiceConfig, ServiceState, create_app
+from repro.service import requests as service_requests
 from repro.service.jobs import JobStore
 
 SWEEP = {
@@ -131,6 +132,17 @@ class TestRestartRecovery:
         assert reopened.get(record.job_id).summary == {"rows": 2}
         reopened.close()
 
+    def test_live_record_matches_its_replay(self, app, service_state, tmp_path):
+        job_id = submit_and_run(app, service_state)
+        live = service_state.jobs.get(job_id).describe()
+        assert live["status"] == "done"
+        assert live["submitted_at"] is not None
+        assert live["updated_at"] is not None
+
+        reopened = JobStore(service_state.jobs.job_dir(job_id).parent)
+        assert reopened.get(job_id).describe() == live
+        reopened.close()
+
     def test_restarted_service_still_serves_old_job_results(self, tmp_path):
         data_dir = str(tmp_path / "svc")
         state = ServiceState(
@@ -161,18 +173,47 @@ class TestCachedJobPath:
     def test_second_identical_job_completes_from_cache(
         self, app, service_state, monkeypatch
     ):
-        import repro.experiments.backends as backends
-
         first_id = submit_and_run(app, service_state)
         first = app.handle("GET", f"/results/{first_id}")[1]
 
-        def forbidden(self, experiment):
-            raise AssertionError("backend ran on a fully-cached job")
+        def forbidden(run):
+            raise AssertionError("engine ran on a fully-cached job")
 
-        monkeypatch.setattr(backends.ShardBackend, "execute", forbidden)
+        monkeypatch.setattr(service_requests, "run_variant", forbidden)
         second_id = submit_and_run(app, service_state)
         record = service_state.jobs.get(second_id)
         assert record.status == "done"
         assert record.summary["from_cache"] is True
+        assert record.progress["rows_appended"] == 2
         second = app.handle("GET", f"/results/{second_id}")[1]
         assert second["resultset"] == first["resultset"]
+
+    def test_partially_cached_sweep_runs_only_the_fresh_unit(
+        self, app, service_state, monkeypatch
+    ):
+        # Prime one of the sweep's two variants through an inline request.
+        cached = dict(SWEEP, grid={"rounds": [1]})
+        del cached["detach"]
+        status, _ = app.handle("POST", "/sweep", body=cached)
+        assert status == 200
+
+        calls = []
+        original = service_requests.run_variant
+
+        def counting(run):
+            calls.append(run.label)
+            return original(run)
+
+        monkeypatch.setattr(service_requests, "run_variant", counting)
+        before = app.handle("GET", "/health")[1]["cache"]
+        job_id = submit_and_run(app, service_state)
+        after = app.handle("GET", "/health")[1]["cache"]
+
+        assert after["hits"] - before["hits"] == 1
+        assert after["misses"] - before["misses"] == 1
+        assert len(calls) == 1
+        record = service_state.jobs.get(job_id)
+        assert record.summary["from_cache"] is False
+        status, payload = app.handle("GET", f"/results/{job_id}")
+        assert status == 200
+        assert len(payload["resultset"]["rows"]) == 2
