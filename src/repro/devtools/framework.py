@@ -228,7 +228,7 @@ def registered_rules() -> List[Rule]:
     """One instance of every registered rule, in registration order."""
     # Importing the rule modules is what populates the registry; local
     # import keeps framework importable from the rule modules themselves.
-    from . import rules_io, rules_layout  # noqa: F401
+    from . import rules_equality, rules_io, rules_layout  # noqa: F401
     from . import rules_provenance, rules_purity  # noqa: F401
     from . import rules_rng, rules_wallclock  # noqa: F401
 

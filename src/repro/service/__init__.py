@@ -16,7 +16,8 @@ with two load-bearing pieces underneath every router:
   appending its rows to the job's checkpoint, and survive server crashes
   with the interruption visible in the stream rather than papered over.
 
-Start a server with ``python -m repro.service serve --port N``; build an
+Start a server (HTTP/1.1, persistent connections) with
+``python -m repro.service serve --port N``; build an
 in-process app for tests with :func:`create_app`.  See this package's
 ``README.md`` for the endpoint catalogue.
 """
@@ -28,6 +29,7 @@ from .errors import (
     BadRequestError,
     MethodNotAllowedError,
     NotFoundError,
+    PayloadTooLargeError,
     ValidationFailure,
 )
 from .jobs import JOB_EVENTS_FILENAME, JobRecord, JobStore, JobWorker
@@ -45,6 +47,7 @@ __all__ = [
     "JobWorker",
     "MethodNotAllowedError",
     "NotFoundError",
+    "PayloadTooLargeError",
     "Request",
     "ResultCache",
     "Router",

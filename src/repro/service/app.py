@@ -16,6 +16,13 @@ validation failure (422) because every ``ModelError`` in this codebase
 is a rejected parameter/scenario value; other :class:`ReproError`\\ s are
 malformed requests (400); anything else is a 500 that names the
 exception class but never unwinds the server.
+
+Request bodies are framed by ``Content-Length`` alone and capped at
+:data:`MAX_BODY_BYTES`.  A body the app cannot consume exactly (a
+malformed length, a chunked or oversized body, one that ends early) gets
+its 400/413 *and* sets :data:`CLOSE_CONNECTION` in the environ, so a
+persistent-connection server closes the socket instead of parsing the
+leftover bytes as the next request.
 """
 
 from __future__ import annotations
@@ -26,10 +33,31 @@ import urllib.parse
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.exceptions import ModelError, ReproError
-from .errors import ApiError, BadRequestError, MethodNotAllowedError, NotFoundError
+from .errors import (
+    ApiError,
+    BadRequestError,
+    MethodNotAllowedError,
+    NotFoundError,
+    PayloadTooLargeError,
+)
 from .state import ServiceConfig, ServiceState
 
-__all__ = ["Request", "Router", "ServiceApp", "create_app"]
+__all__ = [
+    "CLOSE_CONNECTION",
+    "MAX_BODY_BYTES",
+    "Request",
+    "Router",
+    "ServiceApp",
+    "create_app",
+]
+
+#: Largest request body the service reads, in bytes; a longer declared
+#: body is refused with 413 before any of it is read.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Environ key the app sets when a request's body framing cannot be
+#: trusted: the server must close the connection after the response.
+CLOSE_CONNECTION = "repro.service.close_connection"
 
 #: Reason phrases for the statuses the service emits.
 _REASONS = {
@@ -38,6 +66,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Payload Too Large",
     422: "Unprocessable Entity",
     500: "Internal Server Error",
 }
@@ -180,7 +209,7 @@ class ServiceApp:
         )
         try:
             body = self._read_body(environ)
-        except BadRequestError as error:
+        except ApiError as error:
             status, payload = error.status, error.payload()
         else:
             status, payload = self.handle(method, path, body=body, query=query)
@@ -196,19 +225,48 @@ class ServiceApp:
 
     @staticmethod
     def _read_body(environ: Environ) -> Optional[Dict[str, Any]]:
-        """The request's JSON object body, if any."""
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except (TypeError, ValueError):
-            length = 0
-        if length <= 0:
-            return None
+        """The request's JSON object body, if any (framing: module doc)."""
+
+        def unframed(error: ApiError) -> ApiError:
+            environ[CLOSE_CONNECTION] = True
+            return error
+
+        if environ.get("HTTP_TRANSFER_ENCODING"):
+            raise unframed(
+                BadRequestError("chunked request bodies are not supported; "
+                                "send a Content-Length")
+            )
+        declared = str(environ.get("CONTENT_LENGTH") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            raise unframed(
+                BadRequestError(f"invalid Content-Length {declared!r}")
+            )
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise unframed(
+                PayloadTooLargeError(
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit",
+                    limit=MAX_BODY_BYTES,
+                )
+            )
         stream = environ.get("wsgi.input")
-        if stream is None:
+        if length == 0 or stream is None:
             return None
-        raw = stream.read(length)
+        try:
+            raw = stream.read(length)
+        except OSError as error:  # timed out or reset mid-body
+            raise unframed(
+                BadRequestError(f"request body unreadable: {error}")
+            ) from error
         if isinstance(raw, str):  # pragma: no cover - non-bytes test streams
             raw = raw.encode("utf-8")
+        if len(raw) < length:
+            raise unframed(
+                BadRequestError(
+                    f"request body ended after {len(raw)} of {length} bytes"
+                )
+            )
         try:
             parsed = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:

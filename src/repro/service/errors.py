@@ -17,6 +17,7 @@ __all__ = [
     "BadRequestError",
     "NotFoundError",
     "MethodNotAllowedError",
+    "PayloadTooLargeError",
     "ValidationFailure",
 ]
 
@@ -58,6 +59,13 @@ class MethodNotAllowedError(ApiError):
 
     status = 405
     kind = "method_not_allowed"
+
+
+class PayloadTooLargeError(ApiError):
+    """A request body longer than the service reads (HTTP 413)."""
+
+    status = 413
+    kind = "payload_too_large"
 
 
 class ValidationFailure(ApiError):

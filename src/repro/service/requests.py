@@ -24,7 +24,9 @@ re-submitted sweep does engine work only for the units never computed.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import threading
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.exceptions import ModelError
@@ -62,6 +64,18 @@ _ENGINE_DEFAULT_RNG_MODE = str(
 _ENGINE_DEFAULT_ROUNDS = int(
     SimulationConfig.__dataclass_fields__["rounds"].default  # type: ignore[arg-type]
 )
+
+#: Resolved task names :func:`predicted_run_keys` remembers, keyed
+#: ``(scenario, variant_hash, requested task)``; least recently used first.
+#: Shared by every service in the process: an entry is a pure function of
+#: the registered scenario object and its key, so sharing cannot change
+#: an answer, only save a build.
+TASK_MEMO_SIZE = 4096
+_TaskMemoKey = Tuple[str, str, Optional[str]]
+_task_memo: "collections.OrderedDict[_TaskMemoKey, Tuple[object, str]]" = (
+    collections.OrderedDict()
+)
+_task_memo_lock = threading.Lock()
 
 #: Body fields the simulate/sweep endpoints accept; anything else is a
 #: 400 — engine knobs must travel inside ``params`` (see module doc).
@@ -258,6 +272,30 @@ def run_cost(experiment: Experiment) -> int:
     return cost
 
 
+def _resolved_task(run: VariantRun, point: str) -> str:
+    """The task name a unit's rows record, built at most once per point.
+
+    Only a successful bind and task resolution is remembered, so a
+    rejected binding or task name is rejected again on every request.
+    An entry answers only for the scenario object it was built from, so
+    re-registering a name never serves a stale task.
+    """
+    scenario: Any = get_scenario(run.scenario)
+    memo_key = (run.scenario, point, run.task)
+    with _task_memo_lock:
+        entry = _task_memo.get(memo_key)
+        if entry is not None and entry[0] is scenario:
+            _task_memo.move_to_end(memo_key)
+            return entry[1]
+    variant = scenario.bind(**dict(run.params))
+    task: str = variant.resolve_task(variant.system(), run.task).name
+    with _task_memo_lock:
+        _task_memo[memo_key] = (scenario, task)
+        while len(_task_memo) > TASK_MEMO_SIZE:
+            _task_memo.popitem(last=False)
+    return task
+
+
 def predicted_run_keys(run: VariantRun) -> List[CacheKey]:
     """The cache keys the rows of one work unit will carry, in row order.
 
@@ -265,11 +303,11 @@ def predicted_run_keys(run: VariantRun) -> List[CacheKey]:
     the realized ``rng_mode`` / ``rounds`` are the bound parameter values
     or the engine defaults (the service never sets them at the experiment
     level), and the task name is resolved against the built system the
-    same way the runner resolves it.
+    same way the runner resolves it — once per point, after which a
+    cache hit derives its keys without building anything.
     """
-    variant = get_scenario(run.scenario).bind(**dict(run.params))
-    task = variant.resolve_task(variant.system(), run.task).name
     point = variant_hash(run.scenario, run.params)
+    task = _resolved_task(run, point)
     keys: List[CacheKey] = []
     if "analyze" in run.paths:
         keys.append((point, None, None, "analytic", None, None, task))

@@ -34,6 +34,7 @@ declarative experiment layer catch one exception type.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from ..core.exceptions import ModelError
@@ -262,11 +263,13 @@ SIMULATION_PARAMETER_NAMES = (
 )
 
 
+@functools.lru_cache(maxsize=None)
 def common_parameter_space() -> ParameterSpace:
     """The parameters every registered scenario accepts.
 
     All default to ``None`` ("keep the scenario's own value"), so binding a
     scenario with no overrides reproduces the unbound scenario exactly.
+    Built once: the space is immutable and every validation reads it.
     """
     return ParameterSpace(
         [

@@ -37,6 +37,7 @@ ALL_RULE_IDS = (
     "REP005",
     "REP006",
     "REP007",
+    "REP008",
 )
 
 
@@ -87,6 +88,7 @@ def test_real_source_tree_is_clean():
         ("io_bad.py", "REP005", 4),
         ("core/pipeline.py", "REP006", 4),
         ("defaults_bad.py", "REP007", 4),
+        ("equality_bad.py", "REP008", 3),
     ],
 )
 def test_bad_fixture_fires_only_its_rule(fixture, rule_id, count):
@@ -190,6 +192,17 @@ def test_rep006_scopes_to_kernel_paths_only(tmp_path):
     assert "REP006" in rules_fired(run_lint([str(mirrored)]))
 
 
+def test_rep008_flags_inline_and_name_bound_comparisons():
+    diagnostics = run_lint([str(BAD / "equality_bad.py")])
+    assert [(d.rule, d.line) for d in diagnostics] == [
+        ("REP008", 7),
+        ("REP008", 11),
+        ("REP008", 17),
+    ]
+    assert "canonical_dict()" in diagnostics[0].message
+    assert "!=" in diagnostics[1].message
+
+
 # ---------------------------------------------------------------------------
 # Suppressions
 # ---------------------------------------------------------------------------
@@ -273,10 +286,10 @@ def test_every_rule_has_a_good_and_bad_fixture_file():
     bad_names = {path.name for path in BAD.rglob("*.py")}
     assert {"rng_good.py", "wallclock_good.py", "provenance_good.py",
             "layout_good.py", "io_good.py", "pipeline.py",
-            "defaults_good.py"} <= good_names
+            "defaults_good.py", "equality_good.py"} <= good_names
     assert {"rng_bad.py", "wallclock_bad.py", "provenance_bad.py",
             "layout_bad.py", "io_bad.py", "pipeline.py",
-            "defaults_bad.py"} <= bad_names
+            "defaults_bad.py", "equality_bad.py"} <= bad_names
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,7 @@ class TestExport:
         path = str(tmp_path / "results.json")
         save_resultset(results, path)
         reloaded = load_resultset(path)
+        # repro-lint: allow REP008 — a save/load round trip of one set
         assert resultset_to_dict(reloaded) == resultset_to_dict(results)
         row = reloaded.row("sso", mode="batch")
         assert row.seed == results.row("sso", mode="batch").seed
@@ -96,6 +97,7 @@ class TestExport:
     def test_save_method_matches_io_function(self, results, tmp_path):
         path = str(tmp_path / "via_method.json")
         results.save(path)
+        # repro-lint: allow REP008 — a save/load round trip of one set
         assert resultset_to_dict(load_resultset(path)) == resultset_to_dict(results)
 
     def test_reloaded_row_reproduces_simulation(self, results, tmp_path):
